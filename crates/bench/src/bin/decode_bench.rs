@@ -10,12 +10,14 @@
 //! [`tiledec_mpeg2::timing`]; stage hooks stay disabled during the timed
 //! passes. Results go to stdout (or `--out`) as JSON.
 //!
-//! A third family of passes measures the slice-parallel VLD decoder
-//! (`tiledec_core::vld_parallel`) at 1, 2, 4 and 8 workers, publishing a
-//! worker-scaling curve with per-worker utilization/imbalance and a
-//! critical-path model throughput (`model_pps`, same per-picture-max
-//! methodology as `tiled_2x2_pps` — what the decode costs once workers
-//! and coordinator overlap on enough cores; wall-clock `pps` on a
+//! A third family of passes measures the VLD-only configuration of the
+//! pipelined decoder (`PipelineDecoder::new(n, 0)`: slice-parallel VLD
+//! workers, each picture replayed on the coordinator) at 1, 2, 4 and 8
+//! workers, publishing a worker-scaling curve with per-worker
+//! utilization/imbalance and a critical-path model throughput
+//! (`model_pps`: the slower of the summed VLD stage and the summed
+//! coordinator replay — what the decode costs once workers and
+//! coordinator overlap on enough cores; wall-clock `pps` on a
 //! single-core host shows the coordination overhead instead). When
 //! `TILEDEC_VLD_WORKERS` is set, the timed sequential passes
 //! (`scalar_pps`/`best_pps`) also run through the parallel decoder, which
@@ -93,7 +95,6 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 use tiledec_core::recon_parallel::{PipelineDecoder, PipelineStats};
 use tiledec_core::splitter::{split_picture_units, MacroblockSplitter};
 use tiledec_core::tile_decoder::TileDecoder;
-use tiledec_core::vld_parallel::ParallelVldDecoder;
 use tiledec_core::SystemConfig;
 use tiledec_mpeg2::kernels;
 use tiledec_mpeg2::motion::{predict, FrameRefs, PlanePick, RefPick};
@@ -112,32 +113,23 @@ const RECON_WORKER_CURVE: [usize; 4] = [1, 2, 4, 8];
 /// for the e2e pipeline number — matches CI's pipelined smoke pass.
 const PIPELINE_VLD_WORKERS: usize = 2;
 
-/// One point of the pipelined (VLD ‖ band-recon) scaling curve.
-struct ReconPoint {
-    recon_workers: usize,
-    pps: f64,
-    /// Wall-clock speedup over `best_pps` (the single-thread decode).
-    speedup: f64,
-    /// Mean recon-worker busy share of wall time.
-    utilization: f64,
-    /// Max-over-mean recon-worker busy time.
-    imbalance: f64,
-    /// Critical-path model throughput: per-picture max of the VLD stage
-    /// vs the recon stage (band critical path + assembly), summed — what
-    /// the pipeline delivers once both stages overlap on enough cores.
-    model_pps: f64,
-}
-
-/// One point of the slice-parallel VLD scaling curve.
-struct VldPoint {
+/// One point of a worker-scaling curve of the pipelined decoder.
+struct CurvePoint {
+    /// The swept worker count: VLD workers on the VLD-only curve, recon
+    /// workers on the recon curve.
     workers: usize,
     pps: f64,
     /// Wall-clock speedup over `best_pps` (the single-thread decode).
     speedup: f64,
+    /// Mean busy share of wall time of the swept stage's workers.
     utilization: f64,
+    /// Max-over-mean busy time of the swept stage's workers.
     imbalance: f64,
-    /// Critical-path model throughput (per-picture max of coordinator
-    /// replay vs slowest VLD range, summed — the multi-core ceiling).
+    /// Critical-path model throughput: the slower of the VLD stage (each
+    /// picture's slowest range, summed) and the recon stage (banded: per
+    /// dependency level, band critical path + assembly; without recon
+    /// workers: the coordinator's replay) — what the decode delivers once
+    /// the stages overlap on enough cores.
     model_pps: f64,
 }
 
@@ -403,8 +395,8 @@ struct PresetResult {
     tiled_pps: f64,
     tiled_fps: f64,
     steady_allocs: u64,
-    vld_curve: Vec<VldPoint>,
-    recon_curve: Vec<ReconPoint>,
+    vld_curve: Vec<CurvePoint>,
+    recon_curve: Vec<CurvePoint>,
     /// Wall-clock pixels/sec of the 2-VLD/2-recon pipelined decode — the
     /// configuration CI's pipelined smoke pass runs. Gated by `--check`
     /// to ≥ 0.9× this run's own sequential `best_pps` (within-run, so
@@ -542,7 +534,7 @@ fn main() {
         // overhead, not the sequential path, so the sequential floors do
         // not apply. The vld4_pps point is measured identically either way
         // and remains the gate for that run.
-        let vld_forced = std::env::var("TILEDEC_VLD_WORKERS")
+        let vld_forced = std::env::var(tiledec_core::VLD_WORKERS_ENV)
             .ok()
             .and_then(|v| v.trim().parse::<usize>().ok())
             .unwrap_or(0)
@@ -777,47 +769,22 @@ fn run_preset(
     // steady-state allocation audit on the second half of the pictures.
     let (tiled_s, steady_allocs) = time_tiled(&stream);
 
-    // Slice-parallel VLD scaling curve (best kernels, best-of-5 walls).
-    let single_s = best_s;
-    let vld_curve = VLD_WORKER_CURVE
+    // VLD-only scaling curve (best kernels, best-of-5 walls), then the
+    // pipelined (VLD ‖ band-recon) curve: VLD side pinned at 2 workers,
+    // recon side swept. Exact counts (`PipelineDecoder::new`), not
+    // auto-tuned: the curves exist to show scaling shape, and the model
+    // numbers are what a multi-core host would get.
+    let vld_curve: Vec<CurvePoint> = VLD_WORKER_CURVE
         .iter()
-        .map(|&workers| {
-            let (wall_s, stats, min_imbalance) = time_vld_parallel(&stream, workers);
-            let model_s = (stats.model_critical_ns as f64 * 1e-9).max(1e-12);
-            VldPoint {
-                workers,
-                pps: pixels / wall_s,
-                speedup: single_s / wall_s,
-                utilization: stats.utilization(),
-                imbalance: min_imbalance,
-                model_pps: pixels / model_s,
-            }
-        })
+        .map(|&workers| time_point(&stream, pixels, best_s, workers, 0))
         .collect();
-
-    // Pipelined (VLD ‖ band-recon) scaling curve: VLD side pinned at 2
-    // workers, recon side swept. Exact counts (`PipelineDecoder::new`),
-    // not auto-tuned: the curve exists to show scaling shape, and the
-    // model numbers are what a multi-core host would get.
-    let recon_curve: Vec<ReconPoint> = RECON_WORKER_CURVE
+    let recon_curve: Vec<CurvePoint> = RECON_WORKER_CURVE
         .iter()
-        .map(|&workers| {
-            let (wall_s, stats, min_imbalance) =
-                time_pipeline(&stream, PIPELINE_VLD_WORKERS, workers);
-            let model_s = (stats.model_critical_ns as f64 * 1e-9).max(1e-12);
-            ReconPoint {
-                recon_workers: workers,
-                pps: pixels / wall_s,
-                speedup: single_s / wall_s,
-                utilization: stats.utilization(),
-                imbalance: min_imbalance,
-                model_pps: pixels / model_s,
-            }
-        })
+        .map(|&workers| time_point(&stream, pixels, best_s, PIPELINE_VLD_WORKERS, workers))
         .collect();
     let e2e = recon_curve
         .iter()
-        .find(|p| p.recon_workers == 2)
+        .find(|p| p.workers == 2)
         .expect("recon curve contains the 2-worker point");
     let (e2e_pipeline_pps, e2e_model_pps) = (e2e.pps, e2e.model_pps);
 
@@ -868,41 +835,24 @@ fn time_sequential(stream: &[u8]) -> f64 {
     bestt
 }
 
-/// Best-of-5 wall time of the slice-parallel decoder at `workers`, the
-/// stats of the fastest run, and the minimum load imbalance across the
-/// reps. The minimum is the partitioner's actual capability: on a
-/// time-sliced single-core host any individual rep's imbalance is
-/// inflated by preemption convoys (whichever worker the scheduler
-/// descheduled looks "slow"), and that noise only ever pushes the
-/// number up.
-fn time_vld_parallel(stream: &[u8], workers: usize) -> (f64, tiledec_core::VldStats, f64) {
-    let mut dec = ParallelVldDecoder::new(workers);
-    let mut bestt = f64::INFINITY;
-    let mut best_stats = tiledec_core::VldStats::default();
-    let mut min_imbalance = f64::INFINITY;
-    for _ in 0..5 {
-        let t0 = Instant::now();
-        let mut frames = 0usize;
-        dec.decode_stream(stream, |_, _| frames += 1)
-            .expect("vld_parallel decode");
-        let dt = t0.elapsed().as_secs_f64();
-        std::hint::black_box(frames);
-        min_imbalance = min_imbalance.min(dec.stats().imbalance());
-        if dt < bestt {
-            bestt = dt;
-            best_stats = dec.stats().clone();
+/// Times `PipelineDecoder::new(vld, recon)` on `stream` (best-of-5 wall
+/// time, `pixels` per decode) and reports the swept stage: VLD workers
+/// without recon workers, recon workers otherwise. Utilization comes from
+/// the fastest rep; imbalance is the minimum across the reps, which is
+/// the partitioner's actual capability: on a time-sliced single-core
+/// host any individual rep's imbalance is inflated by preemption convoys
+/// (whichever worker the scheduler descheduled looks "slow"), and that
+/// noise only ever pushes the number up. Reusing one decoder across reps
+/// also exercises the persistent pools: reps after the first decode with
+/// warm buffers, as a long-running decoder would.
+fn time_point(stream: &[u8], pixels: f64, single_s: f64, vld: usize, recon: usize) -> CurvePoint {
+    let stage = |s: &PipelineStats| {
+        if recon == 0 {
+            (s.vld_utilization(), s.vld_imbalance())
+        } else {
+            (s.utilization(), s.imbalance())
         }
-    }
-    (bestt, best_stats, min_imbalance)
-}
-
-/// Best-of-5 wall time of the pipelined decoder at exact worker counts,
-/// the stats of the fastest run, and the minimum load imbalance across
-/// the reps (see [`time_vld_parallel`] for why the minimum). Reusing
-/// one decoder across reps also exercises the persistent pools: reps
-/// after the first decode with warm buffers, as a long-running decoder
-/// would.
-fn time_pipeline(stream: &[u8], vld: usize, recon: usize) -> (f64, PipelineStats, f64) {
+    };
     let mut dec = PipelineDecoder::new(vld, recon);
     let mut bestt = f64::INFINITY;
     let mut best_stats = PipelineStats::default();
@@ -914,13 +864,21 @@ fn time_pipeline(stream: &[u8], vld: usize, recon: usize) -> (f64, PipelineStats
             .expect("pipeline decode");
         let dt = t0.elapsed().as_secs_f64();
         std::hint::black_box(frames);
-        min_imbalance = min_imbalance.min(dec.stats().imbalance());
+        min_imbalance = min_imbalance.min(stage(dec.stats()).1);
         if dt < bestt {
             bestt = dt;
             best_stats = dec.stats().clone();
         }
     }
-    (bestt, best_stats, min_imbalance)
+    let model_s = (best_stats.model_critical_ns as f64 * 1e-9).max(1e-12);
+    CurvePoint {
+        workers: if recon == 0 { vld } else { recon },
+        pps: pixels / bestt,
+        speedup: single_s / bestt,
+        utilization: stage(&best_stats).0,
+        imbalance: min_imbalance,
+        model_pps: pixels / model_s,
+    }
 }
 
 /// Runs the real splitter + 2×2 tile-decoder bank. Returns the summed
@@ -1010,28 +968,19 @@ fn render_json(
             .iter()
             .find(|p| p.workers == 4)
             .map_or(0.0, |p| p.pps);
-        let curve: Vec<String> = r
-            .vld_curve
-            .iter()
-            .map(|p| {
-                format!(
-                    "{{\"workers\": {}, \"pps\": {:.0}, \"speedup\": {:.3}, \
-                     \"utilization\": {:.3}, \"imbalance\": {:.3}, \"model_pps\": {:.0}}}",
-                    p.workers, p.pps, p.speedup, p.utilization, p.imbalance, p.model_pps
-                )
-            })
-            .collect();
-        let rcurve: Vec<String> = r
-            .recon_curve
-            .iter()
-            .map(|p| {
-                format!(
-                    "{{\"recon_workers\": {}, \"pps\": {:.0}, \"speedup\": {:.3}, \
-                     \"utilization\": {:.3}, \"imbalance\": {:.3}, \"model_pps\": {:.0}}}",
-                    p.recon_workers, p.pps, p.speedup, p.utilization, p.imbalance, p.model_pps
-                )
-            })
-            .collect();
+        let curve = |points: &[CurvePoint], key: &str| {
+            let rows: Vec<String> = points
+                .iter()
+                .map(|p| {
+                    format!(
+                        "{{\"{key}\": {}, \"pps\": {:.0}, \"speedup\": {:.3}, \
+                         \"utilization\": {:.3}, \"imbalance\": {:.3}, \"model_pps\": {:.0}}}",
+                        p.workers, p.pps, p.speedup, p.utilization, p.imbalance, p.model_pps
+                    )
+                })
+                .collect();
+            rows.join(",\n      ")
+        };
         s.push_str(&format!(
             concat!(
                 "    {{\"name\": \"{}\", \"width\": {}, \"height\": {}, \"frames\": {},\n",
@@ -1058,10 +1007,10 @@ fn render_json(
             r.tiled_fps,
             r.steady_allocs,
             vld4,
-            curve.join(",\n      "),
+            curve(&r.vld_curve, "workers"),
             r.e2e_pipeline_pps,
             r.e2e_model_pps,
-            rcurve.join(",\n      "),
+            curve(&r.recon_curve, "recon_workers"),
             r.stages.scan_ns,
             r.stages.vld_ns,
             r.stages.pixel_ns,

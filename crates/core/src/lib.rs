@@ -31,6 +31,7 @@ pub mod gop_level;
 pub mod levels;
 pub mod machines;
 pub mod mei;
+pub mod plan;
 pub mod protocol;
 pub mod recon_parallel;
 pub mod simulated;
@@ -39,19 +40,17 @@ pub mod splitter;
 pub mod subpicture;
 pub mod threaded;
 pub mod tile_decoder;
-pub mod vld_parallel;
 pub mod wire;
 
 use std::fmt;
 
 pub use config::SystemConfig;
-pub use recon_parallel::{PipelineDecoder, PipelineStats, RECON_WORKERS_ENV};
+pub use recon_parallel::{PipelineDecoder, PipelineStats, RECON_WORKERS_ENV, VLD_WORKERS_ENV};
 pub use simulated::SimulatedSystem;
 pub use slice_level::{run_slice_level, run_slice_level_resilient, SliceLevelResult};
 pub use splitter::{split_picture_units, MacroblockSplitter, SplitOutput};
 pub use threaded::{PlaybackResult, ThreadedSystem};
 pub use tile_decoder::TileDecoder;
-pub use vld_parallel::{ParallelVldDecoder, VldStats};
 
 /// Errors of the parallel decoding system.
 #[derive(Debug)]

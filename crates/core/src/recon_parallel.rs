@@ -1,10 +1,16 @@
-//! Parallel pixel-stage reconstruction with cross-picture pipelining.
+//! The parallel decoder: slice-parallel VLD feeding pixel reconstruction,
+//! with cross-picture pipelining.
 //!
-//! PR 6 parallelized entropy decode, but `vld_share` ≈ 0.43–0.45 in
-//! `BENCH_decode.json`: the pixel stage (IDCT + MC + reconstruction) is
-//! still serial and caps whole-decoder speedup below ~1.8× no matter how
-//! many VLD workers run. This module fans the pixel stage out too:
+//! Entropy decode and the pixel stage (IDCT + MC + reconstruction) each
+//! cost about half of a sequential decode (`vld_share` ≈ 0.43–0.45 in
+//! `BENCH_decode.json`), so parallelising either alone caps whole-decoder
+//! speedup below ~1.8×. This module runs both as one pipeline:
 //!
+//! * **Slice-parallel VLD** — VLD workers record contiguous slice ranges
+//!   of a picture ([`record_slice`]) against the *full* stream buffer, so
+//!   every recorded bit position — error positions included — matches the
+//!   sequential decoder. Ranges are weighted by a per-row entropy-cost
+//!   EWMA ([`partition_by_weight`](crate::plan::partition_by_weight)).
 //! * **Band recon** — after the slice-parallel VLD pass produces
 //!   [`SliceRecording`]s for a picture, the picture's macroblock rows are
 //!   partitioned into disjoint row bands (weighted by a per-row *pixel*
@@ -19,6 +25,13 @@
 //!   band, so disjointness is enforced by the borrow checker, and a
 //!   row-major band splice is a single `copy_band` kernel call per
 //!   plane).
+//! * **Serial recon** — with zero recon workers the same pipeline maps
+//!   its recon stage onto the coordinator: each picture replays as one
+//!   band, in place into its frame (no band buffer, no splice), through
+//!   the same replay loop the band workers run. The VLD window shrinks to
+//!   a two-picture lookahead and the pools to what serial reconstruction
+//!   holds, since one thread cannot reconstruct pictures concurrently;
+//!   its recordings are released at the end of each call.
 //! * **Cross-picture pipelining** — picture `N+1`'s VLD overlaps picture
 //!   `N`'s reconstruction (the VLD dispatch window runs ahead of
 //!   emission), and a reference-readiness dependency tracker dispatches
@@ -28,42 +41,46 @@
 //! * **Bit-exactness** — the stream's structure is validated up front
 //!   against [`Plan`]; anything the planner cannot prove it understands
 //!   (incomplete plan, slice-less pictures, missing references,
-//!   out-of-order slice rows) falls back to [`ParallelVldDecoder`],
-//!   which is the sequential decoder's own walk and therefore trivially
-//!   exact. On the fast path the only possible decode errors are slice
-//!   outcomes recorded by the VLD workers; the coordinator emits
-//!   pictures strictly in stream order and returns the first erroring
-//!   picture's first erroring slice — value and bit position — exactly
-//!   where the sequential decoder would, having emitted exactly the
-//!   frames the sequential decoder would have emitted first.
+//!   out-of-order slice rows) falls back to the sequential [`Decoder`],
+//!   which is trivially exact. On the fast path the only possible decode
+//!   errors are slice outcomes recorded by the VLD workers; the
+//!   coordinator emits pictures strictly in stream order and returns the
+//!   first erroring picture's first erroring slice — value and bit
+//!   position — exactly where the sequential decoder would, having
+//!   emitted exactly the frames the sequential decoder would have
+//!   emitted first.
 //!
 //! Everything is std-only scoped threads over recycled buffers: jobs,
 //! recordings, band buffers and frames all cycle through pools, so the
-//! steady state allocates nothing (enforced by `alloc_steady.rs`).
+//! steady state allocates nothing (enforced by `alloc_steady.rs` for both
+//! the banded and the serial recon stage).
 
 use std::collections::VecDeque;
 use std::mem;
+use std::ops::Range;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::Instant;
 
 use tiledec_cluster::sync::{lock_ignore_poison, wait_ignore_poison};
-use tiledec_mpeg2::decoder::{flush_picture_info, StreamSummary};
+use tiledec_mpeg2::decoder::{flush_picture_info, Decoder, StreamSummary};
 use tiledec_mpeg2::motion::FrameRefs;
-use tiledec_mpeg2::recon::{MbSink, Reconstructor};
+use tiledec_mpeg2::recon::{FrameSink, MbSink, Reconstructor};
 use tiledec_mpeg2::slice::SliceContext;
 use tiledec_mpeg2::types::{PictureInfo, PictureKind};
 use tiledec_mpeg2::vld::{record_slice, replay_slice, SliceRecording};
 use tiledec_mpeg2::{apply_display_patches, repair_stream, Error, Frame, StreamDamage};
 
-use crate::vld_parallel::{
-    host_cpus, partition_by_weight_into, CostHistory, ParallelVldDecoder, Plan,
-    MIN_AUTO_PARALLEL_MBS, VLD_WORKERS_ENV,
-};
+use crate::plan::{host_cpus, partition_by_weight_into, CostHistory, Plan, MIN_AUTO_PARALLEL_MBS};
+
+/// Environment variable selecting the VLD worker count for binaries that
+/// call [`PipelineDecoder::from_env`] (0 or unset, with no recon workers
+/// either, = the sequential decoder).
+pub const VLD_WORKERS_ENV: &str = "TILEDEC_VLD_WORKERS";
 
 /// Environment variable selecting the reconstruction worker count for
 /// binaries that call [`PipelineDecoder::from_env`] (0 or unset = the
-/// VLD-only [`ParallelVldDecoder`] path).
+/// coordinator reconstructs each picture itself).
 pub const RECON_WORKERS_ENV: &str = "TILEDEC_RECON_WORKERS";
 
 /// Upper bound on worker counts accepted from the environment.
@@ -73,6 +90,18 @@ const MAX_WORKERS: usize = 64;
 /// and recording memory while leaving room for a B-run plus the anchors
 /// on both sides to pipeline.
 const WINDOW: usize = 8;
+
+/// VLD window when the coordinator reconstructs serially (zero recon
+/// workers): the picture being replayed plus a two-picture lookahead.
+/// A serial consumer cannot use more; a wider window would only pin
+/// recording memory.
+const SERIAL_WINDOW: usize = 3;
+
+/// Frames serial reconstruction holds at once: the building frame and two
+/// anchors. The held display frame is always one of the anchors, and
+/// every earlier anchor has been emitted and released by the time the
+/// coordinator replays the next picture.
+const SERIAL_FRAMES: usize = 3;
 
 // ---------------------------------------------------------------------
 // Fixed-capacity blocking queue
@@ -242,17 +271,16 @@ struct PicRecs {
     frags: Vec<RecFrag>,
 }
 
-impl PicRecs {
-    /// The recording of global slice index `i`. Fragments are few (one
-    /// per VLD range) and sorted, so a linear scan beats a search.
-    fn get(&self, i: usize) -> &SliceRecording {
-        for f in &self.frags {
-            if i >= f.lo && i < f.lo + f.used {
-                return &f.recs[i - f.lo];
-            }
+/// The recording of global slice index `i` among a picture's sorted
+/// fragments. Fragments are few (one per VLD range), so a linear scan
+/// beats a search.
+fn recording(frags: &[RecFrag], i: usize) -> &SliceRecording {
+    for f in frags {
+        if i >= f.lo && i < f.lo + f.used {
+            return &f.recs[i - f.lo];
         }
-        panic!("slice index {i} outside recorded fragments")
     }
+    panic!("slice index {i} outside recorded fragments")
 }
 
 /// One row band of one picture for a recon worker to replay: the
@@ -387,7 +415,8 @@ fn analyze(plan: &Plan) -> Option<Vec<PicStatic>> {
 pub struct PipelineStats {
     /// VLD worker threads used on the fast path.
     pub vld_workers: usize,
-    /// Recon worker threads used (0 = delegated to the VLD-only path).
+    /// Recon worker threads used (0 = the coordinator reconstructed each
+    /// picture as one band).
     pub recon_workers: usize,
     /// Worker counts the caller configured before auto-tune clamping.
     pub requested_vld_workers: usize,
@@ -403,49 +432,74 @@ pub struct PipelineStats {
     pub wall_ns: u64,
     /// VLD stage critical path: Σ over pictures of the slowest VLD range.
     pub vld_stage_ns: u64,
-    /// Recon stage critical path: Σ over dependency levels of the
-    /// slowest picture's `max_band + assembly` in that level (pictures
-    /// in one level reconstruct concurrently).
+    /// Recon stage critical path. With recon workers: Σ over dependency
+    /// levels of the slowest picture's `max_band + assembly` in that level
+    /// (pictures in one level reconstruct concurrently). Without: Σ over
+    /// pictures of the coordinator's replay, since one thread replays.
     pub recon_stage_ns: u64,
-    /// Coordinator time splicing bands into frames.
+    /// Coordinator time splicing bands into frames (0 without recon
+    /// workers: the coordinator replays in place).
     pub assemble_ns: u64,
     /// Pipeline critical-path model (ns): `max(vld_stage, recon_stage)`
-    /// — the decode cost once both stages overlap on enough cores. The
-    /// VLD-only model charges `Σ max(vld, pixel)` per picture; banding
-    /// divides the pixel term, so this ceiling exceeds the VLD-only one.
+    /// — the decode cost once both stages overlap on enough cores.
+    /// Banding divides the recon term, so with recon workers this
+    /// ceiling exceeds the one without.
     pub model_critical_ns: u64,
     /// Pictures decoded through the fast path.
     pub pictures: u64,
-    /// Recon band jobs dispatched.
+    /// Recon bands replayed (one per picture without recon workers).
     pub bands: u64,
     /// Pictures demoted to a single band by the row-spill guard.
     pub single_band_pictures: u64,
-    /// True when the whole stream took the sequential-walk fallback
-    /// (plan incomplete / structure the pipeline cannot commit to).
+    /// True when the whole stream took the sequential decoder: no workers
+    /// configured, auto-tune declined, or a structure the pipeline cannot
+    /// commit to (incomplete plan, slice-less picture, missing reference,
+    /// out-of-order slice rows).
     pub sequential_fallback: bool,
 }
 
 impl PipelineStats {
     /// Mean recon-worker busy share of decode wall time.
     pub fn utilization(&self) -> f64 {
-        if self.recon_busy_ns.is_empty() || self.wall_ns == 0 {
-            return 0.0;
-        }
-        let mean = self.recon_busy_ns.iter().sum::<u64>() as f64 / self.recon_busy_ns.len() as f64;
-        mean / self.wall_ns as f64
+        busy_share(&self.recon_busy_ns, self.wall_ns)
     }
 
     /// Max-over-mean recon-worker busy time (1.0 = perfectly balanced).
     pub fn imbalance(&self) -> f64 {
-        if self.recon_busy_ns.is_empty() {
-            return 0.0;
-        }
-        let mean = self.recon_busy_ns.iter().sum::<u64>() as f64 / self.recon_busy_ns.len() as f64;
-        if mean == 0.0 {
-            return 0.0;
-        }
-        self.recon_busy_ns.iter().copied().max().unwrap_or(0) as f64 / mean
+        max_over_mean(&self.recon_busy_ns)
     }
+
+    /// Mean VLD-worker busy share of decode wall time.
+    pub fn vld_utilization(&self) -> f64 {
+        busy_share(&self.vld_busy_ns, self.wall_ns)
+    }
+
+    /// Max-over-mean VLD-worker busy time (1.0 = perfectly balanced).
+    pub fn vld_imbalance(&self) -> f64 {
+        max_over_mean(&self.vld_busy_ns)
+    }
+}
+
+/// Mean of `busy_ns` as a share of `wall_ns` (0 with no workers).
+fn busy_share(busy_ns: &[u64], wall_ns: u64) -> f64 {
+    if busy_ns.is_empty() || wall_ns == 0 {
+        return 0.0;
+    }
+    let mean = busy_ns.iter().sum::<u64>() as f64 / busy_ns.len() as f64;
+    mean / wall_ns as f64
+}
+
+/// Max-over-mean of `busy_ns`: 1.0 is a perfectly balanced partition,
+/// higher means stragglers (0 with no workers).
+fn max_over_mean(busy_ns: &[u64]) -> f64 {
+    if busy_ns.is_empty() {
+        return 0.0;
+    }
+    let mean = busy_ns.iter().sum::<u64>() as f64 / busy_ns.len() as f64;
+    if mean == 0.0 {
+        return 0.0;
+    }
+    busy_ns.iter().copied().max().unwrap_or(0) as f64 / mean
 }
 
 // ---------------------------------------------------------------------
@@ -486,6 +540,33 @@ fn vld_worker_loop(data: &[u8], plan: &Plan, jobs: &Queue<VldJob>, results: &Que
     busy
 }
 
+/// Replays global slices `slices` of one picture through `recon`,
+/// pushing each slice's replay time onto `slice_ns`. The recon stage's
+/// one replay loop: band workers run it into packed band buffers, the
+/// serial coordinator in place into the picture's frame.
+fn replay_band<S: MbSink>(
+    frags: &[RecFrag],
+    slices: Range<usize>,
+    ctx: &SliceContext<'_>,
+    recon: &mut Reconstructor<'_, FrameRefs<'_>, S>,
+    scratch: &mut [[i32; 64]; 6],
+    slice_ns: &mut Vec<u64>,
+) {
+    slice_ns.clear();
+    for i in slices {
+        let st = Instant::now();
+        // Only pictures whose recordings are all clean reach the recon
+        // stage, so replay cannot fail.
+        let replayed = replay_slice(recording(frags, i), ctx, recon, scratch);
+        debug_assert!(
+            replayed.is_ok(),
+            "recon stage replayed an erroring recording"
+        );
+        drop(replayed);
+        slice_ns.push(st.elapsed().as_nanos() as u64);
+    }
+}
+
 /// Recon worker: replays band jobs into packed band buffers until the
 /// job queue closes. Returns total busy nanoseconds.
 fn recon_worker_loop(plan: &Plan, jobs: &Queue<ReconJob>, results: &Queue<Msg>) -> u64 {
@@ -514,22 +595,20 @@ fn recon_worker_loop(plan: &Plan, jobs: &Queue<ReconJob>, results: &Queue<Msg>) 
             fwd: &fwd,
             bwd: &bwd,
         };
-        slice_ns.clear();
         {
             let mut sink = BandSink { buf: &mut buf };
             let mut recon = Reconstructor {
                 refs: &refs,
                 sink: &mut sink,
             };
-            for i in lo..lo + used {
-                let st = Instant::now();
-                // The coordinator only dispatches pictures whose
-                // recordings are all clean, so replay cannot fail.
-                let replayed = replay_slice(recs.get(i), &ctx, &mut recon, &mut scratch);
-                debug_assert!(replayed.is_ok(), "recon job carried an erroring recording");
-                drop(replayed);
-                slice_ns.push(st.elapsed().as_nanos() as u64);
-            }
+            replay_band(
+                &recs.frags,
+                lo..lo + used,
+                &ctx,
+                &mut recon,
+                &mut scratch,
+                &mut slice_ns,
+            );
         }
         let pixel_ns = t.elapsed().as_nanos() as u64;
         busy += pixel_ns;
@@ -631,7 +710,10 @@ struct Coord<'q, 'p> {
     plan: &'p Plan,
     statics: &'p [PicStatic],
     vld_workers: usize,
+    /// Zero when the coordinator itself reconstructs each picture.
     recon_workers: usize,
+    /// Pictures allowed in VLD flight past the next emission.
+    window: usize,
     vld_jobs: &'q Queue<VldJob>,
     recon_jobs: &'q Queue<ReconJob>,
     pics: Vec<PicRuntime>,
@@ -649,6 +731,8 @@ struct Coord<'q, 'p> {
     /// Persistent pools and scratch, lent by the decoder for this run.
     pools: &'p mut Pools,
     level_crit: Vec<u64>,
+    /// Coefficient scratch for serial replay on the coordinator.
+    scratch: Box<[[i32; 64]; 6]>,
     stats: PipelineStats,
 }
 
@@ -687,8 +771,29 @@ impl<'q, 'p> Coord<'q, 'p> {
             max_w = max_w.max(p.seq.mb_width() as usize * 16);
             max_mbh = max_mbh.max(p.seq.mb_height() as usize);
         }
-        let vecs_in_flight = (WINDOW + 2) * vld_workers + 2;
-        let bands_in_flight = (WINDOW + 2) * recon_workers.max(1);
+        // Serial reconstruction (zero recon workers) holds at most its
+        // window's recordings, pools no band buffers (it replays in place)
+        // and only the frames one thread can have live at once.
+        let (window, vecs_in_flight, bands_in_flight, frames_in_flight, arcs_in_flight) =
+            if recon_workers == 0 {
+                (
+                    SERIAL_WINDOW,
+                    SERIAL_WINDOW * vld_workers,
+                    0,
+                    SERIAL_FRAMES,
+                    0,
+                )
+            } else {
+                // Frames: WINDOW pictures building, plus the held reference
+                // and its transient clone during emission hand-over.
+                (
+                    WINDOW,
+                    (WINDOW + 2) * vld_workers + 2,
+                    (WINDOW + 2) * recon_workers,
+                    WINDOW + 4,
+                    WINDOW + 4,
+                )
+            };
         // Band buffers hold full-frame capacity: the pixel-cost EWMA can
         // legitimately hand one worker most of a picture's rows (and
         // single-band demotion of a corrupt picture hands it all of them),
@@ -700,7 +805,7 @@ impl<'q, 'p> Coord<'q, 'p> {
         for b in pools.bands.iter_mut() {
             b.prepare(max_w, 0, max_mbh);
         }
-        while pools.ns.len() < bands_in_flight {
+        while pools.ns.len() < bands_in_flight.max(1) {
             pools.ns.push_back(Vec::new());
         }
         for v in pools.ns.iter_mut() {
@@ -708,9 +813,7 @@ impl<'q, 'p> Coord<'q, 'p> {
                 v.reserve(max_slices - v.len());
             }
         }
-        // Worst case in flight: WINDOW pictures building, plus the held
-        // reference and its transient clone during emission hand-over.
-        let frames_in_flight = (WINDOW + 4).min(n.max(1));
+        let frames_in_flight = frames_in_flight.min(n.max(1));
         while pools.frames.len() < frames_in_flight {
             pools
                 .frames
@@ -723,7 +826,7 @@ impl<'q, 'p> Coord<'q, 'p> {
         // spare containers and the ones living inside pooled `PicRecs`
         // up front, so the first push into each never allocates.
         let frag_cap = vld_workers.max(1) + 1;
-        while pools.frags.len() < WINDOW + 4 {
+        while pools.frags.len() < window + 4 {
             pools.frags.push_back(Vec::with_capacity(frag_cap));
         }
         for v in pools.frags.iter_mut() {
@@ -731,7 +834,7 @@ impl<'q, 'p> Coord<'q, 'p> {
                 v.reserve(frag_cap - v.len());
             }
         }
-        while pools.arcs.len() < WINDOW + 4 {
+        while pools.arcs.len() < arcs_in_flight {
             pools.arcs.push_back(Arc::new(PicRecs {
                 frags: Vec::with_capacity(frag_cap),
             }));
@@ -752,6 +855,7 @@ impl<'q, 'p> Coord<'q, 'p> {
             statics,
             vld_workers,
             recon_workers,
+            window,
             vld_jobs,
             recon_jobs,
             pics,
@@ -763,6 +867,7 @@ impl<'q, 'p> Coord<'q, 'p> {
             placeholder,
             pools,
             level_crit: vec![0u64; max_level + 1],
+            scratch: Box::new([[0i32; 64]; 6]),
             stats: PipelineStats {
                 vld_workers,
                 recon_workers,
@@ -817,7 +922,7 @@ impl<'q, 'p> Coord<'q, 'p> {
     /// Dispatches VLD jobs for pictures inside the lookahead window.
     fn dispatch_vld_window(&mut self) {
         while self.next_vld < self.plan.pictures.len()
-            && self.next_vld < self.next_emit + WINDOW
+            && self.next_vld < self.next_emit + self.window
             && self.error_at.is_none_or(|e| self.next_vld <= e)
         {
             let p = self.next_vld;
@@ -939,6 +1044,80 @@ impl<'q, 'p> Coord<'q, 'p> {
             },
             None => Arc::clone(&self.placeholder),
         };
+        if self.recon_workers == 0 {
+            self.replay_serial(p, &fwd, &bwd);
+        } else {
+            self.dispatch_bands(p, &fwd, &bwd);
+        }
+        // The band jobs hold their own anchor references, and the serial
+        // replay is done with them: this picture no longer pins them.
+        if let Some(f) = st.fwd {
+            self.pics[f].dependents_left -= 1;
+            self.maybe_release(f);
+        }
+        if let Some(b) = st.bwd {
+            if st.bwd != st.fwd {
+                self.pics[b].dependents_left -= 1;
+                self.maybe_release(b);
+            }
+        }
+    }
+
+    /// Serial recon stage: replays picture `p` as one band on the
+    /// coordinator, in place into its frame, then returns its recordings
+    /// to the pool.
+    fn replay_serial(&mut self, p: usize, fwd: &Frame, bwd: &Frame) {
+        let plan = self.plan;
+        let pic = &plan.pictures[p];
+        let t = Instant::now();
+        let mut building = self.take_frame(
+            pic.seq.mb_width() as usize * 16,
+            pic.seq.mb_height() as usize * 16,
+        );
+        let mut slice_ns = self.pools.ns.pop_front().unwrap_or_default();
+        let rt = &mut self.pics[p];
+        {
+            // Pooled frames are uniquely owned when taken, so this never
+            // clones. A recycled frame still holds an earlier picture:
+            // restore the zero background the sequential decoder starts
+            // from.
+            let frame = Arc::make_mut(&mut building);
+            frame.y.fill(0);
+            frame.cb.fill(0);
+            frame.cr.fill(0);
+            let ctx = SliceContext {
+                seq: &pic.seq,
+                pic: &pic.info,
+            };
+            let refs = FrameRefs { fwd, bwd };
+            let mut sink = FrameSink { frame };
+            let mut recon = Reconstructor {
+                refs: &refs,
+                sink: &mut sink,
+            };
+            replay_band(
+                &rt.frags,
+                0..pic.slices.len(),
+                &ctx,
+                &mut recon,
+                &mut self.scratch,
+                &mut slice_ns,
+            );
+        }
+        rt.recon_dispatched = true;
+        rt.frame = Some(building);
+        for frag in rt.frags.drain(..) {
+            self.pools.recs.push_back(frag.recs);
+        }
+        self.pools.frags.push_back(mem::take(&mut rt.frags));
+        self.pools.ns.push_back(slice_ns);
+        self.stats.recon_stage_ns += t.elapsed().as_nanos() as u64;
+        self.stats.bands += 1;
+    }
+
+    /// Banded recon stage: partitions picture `p`'s rows by pixel cost
+    /// and queues one job per band for the recon workers.
+    fn dispatch_bands(&mut self, p: usize, fwd: &Arc<Frame>, bwd: &Arc<Frame>) {
         let pic = &self.plan.pictures[p];
         let mbh = pic.seq.mb_height() as usize;
         let (w, h) = (
@@ -1013,8 +1192,8 @@ impl<'q, 'p> Coord<'q, 'p> {
                 lo,
                 used,
                 recs: Arc::clone(&shared),
-                fwd: Arc::clone(&fwd),
-                bwd: Arc::clone(&bwd),
+                fwd: Arc::clone(fwd),
+                bwd: Arc::clone(bwd),
                 buf,
                 slice_ns,
             });
@@ -1025,18 +1204,6 @@ impl<'q, 'p> Coord<'q, 'p> {
         drop(shared);
         let building = self.take_frame(w, h);
         self.pics[p].building = Some(building);
-        // The anchors are captured in the jobs now; this picture no
-        // longer pins them.
-        if let Some(f) = st.fwd {
-            self.pics[f].dependents_left -= 1;
-            self.maybe_release(f);
-        }
-        if let Some(b) = st.bwd {
-            if st.bwd != st.fwd {
-                self.pics[b].dependents_left -= 1;
-                self.maybe_release(b);
-            }
-        }
     }
 
     fn on_band_done(&mut self, msg: BandDone) {
@@ -1108,9 +1275,16 @@ impl<'q, 'p> Coord<'q, 'p> {
         }
     }
 
-    /// Tries to dispatch reconstruction for every in-window picture.
+    /// Tries to dispatch reconstruction for every in-window picture. The
+    /// serial coordinator only reconstructs the next picture to emit, so
+    /// it emits (and frees frames) before replaying another.
     fn dispatch_recon_window(&mut self) {
-        let hi = (self.next_emit + WINDOW).min(self.plan.pictures.len());
+        let window = if self.recon_workers == 0 {
+            1
+        } else {
+            self.window
+        };
+        let hi = (self.next_emit + window).min(self.plan.pictures.len());
         for p in self.next_emit..hi {
             self.try_dispatch_recon(p);
         }
@@ -1156,7 +1330,10 @@ impl<'q, 'p> Coord<'q, 'p> {
     }
 
     fn finish_stats(&mut self) {
-        self.stats.recon_stage_ns = self.level_crit.iter().sum();
+        // Banded pictures in one dependency level reconstruct
+        // concurrently, so that stage sums per-level critical paths; the
+        // serial stage has already summed every picture's replay.
+        self.stats.recon_stage_ns += self.level_crit.iter().sum::<u64>();
         self.stats.model_critical_ns = self.stats.vld_stage_ns.max(self.stats.recon_stage_ns);
     }
 
@@ -1193,6 +1370,13 @@ impl<'q, 'p> Coord<'q, 'p> {
             if frags.capacity() > 0 {
                 self.pools.frags.push_back(frags);
             }
+        }
+        // Zero recon workers is the memory-lean configuration, and its
+        // recordings (dense coefficient blocks, SERIAL_WINDOW pictures'
+        // worth at their high-water mark) are most of its footprint:
+        // release them rather than pin them for the decoder's lifetime.
+        if self.recon_workers == 0 {
+            self.pools.recs.clear();
         }
     }
 }
@@ -1300,7 +1484,8 @@ fn run_pipeline(
 // ---------------------------------------------------------------------
 
 /// Fully pipelined MPEG-2 decoder: slice-parallel VLD feeding
-/// band-parallel pixel reconstruction with cross-picture overlap.
+/// band-parallel pixel reconstruction with cross-picture overlap, or —
+/// with zero recon workers — reconstruction on the coordinator.
 /// Bit-exact with [`tiledec_mpeg2::Decoder::decode_stream`] — frames,
 /// errors and error bit positions — for every stream and worker count.
 #[derive(Debug, Default)]
@@ -1318,9 +1503,10 @@ pub struct PipelineDecoder {
 impl PipelineDecoder {
     /// Creates a decoder with exact worker counts (no auto-tuning), for
     /// tests and benchmarks that pin the machinery. `recon_workers = 0`
-    /// delegates to the VLD-only [`ParallelVldDecoder`] path; a positive
+    /// reconstructs each picture on the coordinator, in place; a positive
     /// recon count with `vld_workers = 0` runs one VLD worker (the
-    /// pipeline needs recordings to replay).
+    /// pipeline needs recordings to replay); zero of both is the
+    /// sequential decoder.
     pub fn new(vld_workers: usize, recon_workers: usize) -> Self {
         PipelineDecoder {
             vld_workers: vld_workers.min(MAX_WORKERS),
@@ -1332,10 +1518,12 @@ impl PipelineDecoder {
     }
 
     /// Like [`new`](Self::new) but both counts are upper bounds, clamped
-    /// per stream to the picture's row count and to [`host_cpus()`], and
-    /// tiny streams decode sequentially — the same policy as
-    /// [`ParallelVldDecoder::auto_tuned`]. The clamp decision is
-    /// recorded in [`PipelineStats`].
+    /// per stream to the picture's macroblock-row count (extra workers
+    /// would only idle) and to [`host_cpus()`] (oversubscribed workers
+    /// time-slice one core and only add imbalance), and streams whose
+    /// pictures are all below `MIN_AUTO_PARALLEL_MBS` macroblocks decode
+    /// sequentially (the record/replay round trip costs more than it
+    /// hides). The clamp decision is recorded in [`PipelineStats`].
     pub fn auto_tuned(vld_workers: usize, recon_workers: usize) -> Self {
         PipelineDecoder {
             auto_tune: true,
@@ -1375,24 +1563,29 @@ impl PipelineDecoder {
     ) -> Result<StreamSummary, Error> {
         let start = Instant::now();
         let cpus = host_cpus();
-        if self.recon_workers == 0 {
-            return self.delegate(data, on_frame, start, cpus);
-        }
-        let plan = Plan::build(data);
-        let statics = analyze(&plan);
-        let (vld, recon) = if self.auto_tune {
-            self.auto_counts(&plan, cpus)
+        let committed = if self.vld_workers == 0 && self.recon_workers == 0 {
+            None
         } else {
-            (self.vld_workers.max(1), self.recon_workers)
+            let plan = Plan::build(data);
+            let (vld, recon) = self.worker_counts(&plan, cpus);
+            match analyze(&plan) {
+                Some(statics) if vld > 0 => Some((plan, statics, vld, recon)),
+                _ => None,
+            }
         };
-        let Some(statics) = statics else {
-            return self.delegate(data, on_frame, start, cpus);
+        let (result, mut stats) = match committed {
+            Some((plan, statics, vld, recon)) => {
+                run_pipeline(data, &plan, &statics, vld, recon, &mut self.pools, on_frame)
+            }
+            // The only whole-stream fallback: the sequential decoder.
+            None => (
+                Decoder::new().decode_stream(data, on_frame),
+                PipelineStats {
+                    sequential_fallback: true,
+                    ..PipelineStats::default()
+                },
+            ),
         };
-        if recon == 0 || plan.slice_count() == 0 {
-            return self.delegate(data, on_frame, start, cpus);
-        }
-        let (result, mut stats) =
-            run_pipeline(data, &plan, &statics, vld, recon, &mut self.pools, on_frame);
         stats.wall_ns = start.elapsed().as_nanos() as u64;
         stats.requested_vld_workers = self.vld_workers;
         stats.requested_recon_workers = self.recon_workers;
@@ -1401,38 +1594,16 @@ impl PipelineDecoder {
         result
     }
 
-    /// Whole-stream fallback: the VLD-only parallel decoder, which *is*
-    /// the sequential decoder's walk (bit-exact by PR 6's property
-    /// tests), possibly with zero workers (pure sequential).
-    fn delegate(
-        &mut self,
-        data: &[u8],
-        on_frame: impl FnMut(&Frame, &PictureInfo),
-        start: Instant,
-        cpus: usize,
-    ) -> Result<StreamSummary, Error> {
-        let mut inner = if self.auto_tune {
-            ParallelVldDecoder::auto_tuned(self.vld_workers)
-        } else {
-            ParallelVldDecoder::new(self.vld_workers)
-        };
-        let result = inner.decode_stream(data, on_frame);
-        self.last_stats = PipelineStats {
-            vld_workers: inner.stats().workers,
-            recon_workers: 0,
-            requested_vld_workers: self.vld_workers,
-            requested_recon_workers: self.recon_workers,
-            host_cpus: cpus,
-            wall_ns: start.elapsed().as_nanos() as u64,
-            sequential_fallback: true,
-            ..PipelineStats::default()
-        };
-        result
-    }
-
-    /// Auto-tune clamp: worker counts bounded by the widest picture's
-    /// row count and the host CPU count; tiny streams go sequential.
-    fn auto_counts(&self, plan: &Plan, cpus: usize) -> (usize, usize) {
+    /// Worker counts for one planned stream: exact counts as configured,
+    /// or the auto-tune clamp — bounded by the widest picture's row count
+    /// and the host CPU count, with tiny streams declined (zero VLD
+    /// workers, i.e. the sequential decoder).
+    fn worker_counts(&self, plan: &Plan, cpus: usize) -> (usize, usize) {
+        // A positive recon count needs recordings to replay.
+        let vld = self.vld_workers.max(1);
+        if !self.auto_tune {
+            return (vld, self.recon_workers);
+        }
         let mut max_rows = 0usize;
         let mut max_mbs = 0u32;
         for p in &plan.pictures {
@@ -1440,11 +1611,12 @@ impl PipelineDecoder {
             max_mbs = max_mbs.max(p.seq.mb_width().saturating_mul(p.seq.mb_height()));
         }
         if max_mbs < MIN_AUTO_PARALLEL_MBS {
-            return (self.vld_workers.min(cpus), 0);
+            return (0, 0);
         }
-        let vld = self.vld_workers.min(max_rows).min(cpus).max(1);
-        let recon = self.recon_workers.min(max_rows).min(cpus);
-        (vld, recon)
+        (
+            vld.min(max_rows).min(cpus).max(1),
+            self.recon_workers.min(max_rows).min(cpus),
+        )
     }
 
     /// Decodes a whole stream into display-order frames.
@@ -1456,9 +1628,9 @@ impl PipelineDecoder {
 
     /// Decodes under `ErrorPolicy::Resilient`: optimistic strict pass,
     /// then deterministic [`repair_stream`] + strict re-decode on
-    /// failure — identical construction to
-    /// [`ParallelVldDecoder::decode_all_resilient`], so parallel ≡
-    /// sequential under damage by construction.
+    /// failure. The repaired stream is an ordinary valid elementary
+    /// stream, so parallel ≡ sequential under damage by construction —
+    /// the same construction as `tiledec_mpeg2::decode_all_resilient`.
     pub fn decode_all_resilient(
         &mut self,
         data: &[u8],
@@ -1480,6 +1652,7 @@ impl PipelineDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tiledec_mpeg2::encoder::{Encoder, EncoderConfig};
 
     #[test]
     fn queue_delivers_in_order_and_closes() {
@@ -1542,12 +1715,63 @@ mod tests {
         let s = PipelineStats {
             recon_workers: 2,
             recon_busy_ns: vec![100, 300],
+            vld_busy_ns: vec![200, 200],
             wall_ns: 400,
             ..PipelineStats::default()
         };
         assert!((s.utilization() - 0.5).abs() < 1e-9);
         assert!((s.imbalance() - 1.5).abs() < 1e-9);
+        assert!((s.vld_utilization() - 0.5).abs() < 1e-9);
+        assert!((s.vld_imbalance() - 1.0).abs() < 1e-9);
         assert_eq!(PipelineStats::default().utilization(), 0.0);
         assert_eq!(PipelineStats::default().imbalance(), 0.0);
+        assert_eq!(PipelineStats::default().vld_imbalance(), 0.0);
+    }
+
+    #[test]
+    fn serial_recon_pools_hold_no_bands_and_at_most_three_frames() {
+        // Three GOPs with B-runs, so anchors rotate and B pictures build
+        // between them — every frame-holding state serial recon has.
+        let (w, h, n) = (128usize, 96usize, 12usize);
+        let mut cfg = EncoderConfig::for_size(w as u32, h as u32);
+        cfg.gop_size = 4;
+        cfg.b_frames = 2;
+        let frames: Vec<Frame> = (0..n)
+            .map(|t| {
+                let mut f = Frame::black(w, h);
+                for y in 0..h {
+                    for x in 0..w {
+                        f.y.set(x, y, ((x * 3 + y * 5 + t * 7) % 200) as u8);
+                    }
+                }
+                f
+            })
+            .collect();
+        let data = Encoder::new(cfg).unwrap().encode(&frames).unwrap();
+        let mut dec = PipelineDecoder::new(2, 0);
+        let mut emitted = 0usize;
+        dec.decode_stream(&data, |_, _| emitted += 1).unwrap();
+        assert_eq!(emitted, n);
+        assert!(!dec.stats().sequential_fallback);
+        // After the decode every pooled buffer has been reclaimed, so the
+        // pools hold everything the decoder ever allocated.
+        assert!(
+            dec.pools.bands.is_empty(),
+            "serial recon pools band buffers"
+        );
+        assert!(
+            dec.pools.arcs.is_empty(),
+            "serial recon pools shared recordings"
+        );
+        assert!(
+            dec.pools.frames.len() <= 3,
+            "serial recon holds the building frame and two anchors (the held \
+             display frame is one of them); the pool grew to {}",
+            dec.pools.frames.len()
+        );
+        assert!(
+            dec.pools.recs.is_empty(),
+            "serial recon keeps recordings between calls"
+        );
     }
 }

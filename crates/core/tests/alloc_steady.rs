@@ -179,6 +179,9 @@ fn steady_state_decode_is_allocation_free() {
 /// pictures have pushed capacity high-water marks, the window **between
 /// consecutive `on_frame` callbacks** must be allocation-free — on the
 /// coordinator *and* on every worker thread (the counter is global).
+/// Audited twice: with band workers (`(1, 2)`) and with the coordinator
+/// replaying each picture in place (`(1, 0)`, the VLD-only
+/// configuration).
 ///
 /// Called from the tile-decoder audit above rather than registered as a
 /// second `#[test]`: a concurrently running test would perturb the
@@ -204,10 +207,19 @@ fn pipeline_steady_state_is_allocation_free() {
     // Band partitions may still shift with measured pixel cost, but bands
     // share recordings read-only and band buffers are pre-warmed to the
     // worst-case split, so no allocation rides on the jitter.
-    let mut dec = PipelineDecoder::new(1, 2);
+    for recon in [2, 0] {
+        audit_pipeline(&stream, frames, recon);
+    }
+}
+
+/// Asserts that a `PipelineDecoder::new(1, recon)` decode of `stream`
+/// (`frames` pictures) allocates nothing between consecutive frame
+/// callbacks after the warm-up prefix.
+fn audit_pipeline(stream: &[u8], frames: usize, recon: usize) {
+    let mut dec = PipelineDecoder::new(1, recon);
     let mut between: Vec<u64> = Vec::with_capacity(frames + 1);
     let mut last = ALLOCS.load(Ordering::Relaxed);
-    dec.decode_stream(&stream, |_f: &Frame, _| {
+    dec.decode_stream(stream, |_f: &Frame, _| {
         let now = ALLOCS.load(Ordering::Relaxed);
         between.push(now - last);
         last = now;
@@ -215,8 +227,9 @@ fn pipeline_steady_state_is_allocation_free() {
     .expect("pipelined decode");
     assert!(
         !dec.stats().sequential_fallback,
-        "stream must take the pipelined fast path for the audit to mean anything"
+        "(1, {recon}): stream must take the pipelined fast path for the audit to mean anything"
     );
+    assert_eq!(dec.stats().recon_workers, recon);
     assert_eq!(between.len(), frames, "one callback per picture");
 
     // Warm-up may allocate (pool vecs growing to their high-water marks,
@@ -227,7 +240,7 @@ fn pipeline_steady_state_is_allocation_free() {
         assert_eq!(
             *n,
             0,
-            "pipelined decode: {n} heap allocations between frames {} and {i}",
+            "pipelined decode (1, {recon}): {n} heap allocations between frames {} and {i}",
             i - 1
         );
     }

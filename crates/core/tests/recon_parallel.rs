@@ -5,33 +5,19 @@
 //! bit positions*) and `ErrorPolicy::Resilient` (identical repaired
 //! frames and identical `DamageReport` ledgers).
 //!
-//! Driven by the same seeded xorshift generator as `vld_parallel.rs`, so
-//! every case is deterministic and reproducible from its seed.
+//! Driven by the seeded generator in `common` (shared with
+//! `vld_parallel.rs`), so every case is deterministic and reproducible
+//! from its seed.
 
+mod common;
+
+use common::{
+    assert_bit_position_matches, assert_matches_sequential, assert_same_decode, decode_sequential,
+    decode_with, random_stream, Rng,
+};
 use tiledec_core::recon_parallel::PipelineDecoder;
-use tiledec_mpeg2::decoder::Decoder;
 use tiledec_mpeg2::encoder::{Encoder, EncoderConfig};
-use tiledec_mpeg2::types::PictureInfo;
-use tiledec_mpeg2::{decode_all_resilient, Error, Frame};
-
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Self {
-        Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1)
-    }
-
-    fn next(&mut self) -> u64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        self.0
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
+use tiledec_mpeg2::{decode_all_resilient, Frame};
 
 /// Recon worker counts every exactness property is checked at: 1 is the
 /// degenerate single-band case, 3 odd band seams, 8 more bands than some
@@ -39,88 +25,16 @@ impl Rng {
 /// pipelines entropy decode against reconstruction.
 const RECON_WORKER_COUNTS: [usize; 5] = [1, 2, 3, 4, 8];
 
-/// Renders a deterministic noisy clip and encodes it with
-/// seed-dependent GOP structure and quantisation (same generator as the
-/// VLD suite, offset seeds so the two suites cover different streams).
-fn random_stream(seed: u64) -> Vec<u8> {
-    let mut rng = Rng::new(seed);
-    let (w, h) = match rng.below(3) {
-        0 => (64, 48),
-        1 => (128, 96),
-        _ => (96, 64),
-    };
-    let mut cfg = EncoderConfig::for_size(w, h);
-    cfg.gop_size = 3 + rng.below(6) as u32;
-    cfg.b_frames = rng.below(3) as u32;
-    cfg.qscale = 3 + rng.below(12) as u8;
-    cfg.adaptive_quant = rng.below(2) == 0;
-    cfg.alternate_scan = rng.below(2) == 0;
-    cfg.intra_dc_precision = rng.below(3) as u8;
-    cfg.q_scale_type = rng.below(2) == 0;
-    let n = 4 + rng.below(5) as usize;
-    let mut frames = Vec::with_capacity(n);
-    for t in 0..n {
-        let mut f = Frame::black(w as usize, h as usize);
-        for yy in 0..h as usize {
-            for xx in 0..w as usize {
-                let base = ((xx * 5) ^ (yy * 3)) as u64;
-                let band = if (xx + yy + t * 7) % 31 < 6 { 90 } else { 0 };
-                let v = (base % 120 + band + rng.below(24)) as u8;
-                f.y.set(xx, yy, v);
-            }
-        }
-        for yy in 0..(h / 2) as usize {
-            for xx in 0..(w / 2) as usize {
-                f.cb.set(xx, yy, 100 + ((xx + t) % 56) as u8);
-                f.cr.set(xx, yy, 120 + ((yy * 2 + t) % 40) as u8);
-            }
-        }
-        frames.push(f);
-    }
-    let enc = Encoder::new(cfg).expect("config");
-    enc.encode(&frames).expect("encode")
-}
-
-fn decode_sequential(data: &[u8]) -> (Vec<Frame>, Result<usize, Error>) {
-    let mut frames = Vec::new();
-    let result = Decoder::new()
-        .decode_stream(data, |f: &Frame, _: &PictureInfo| frames.push(f.clone()))
-        .map(|s| s.pictures);
-    (frames, result)
-}
-
-fn decode_pipelined(data: &[u8], recon_workers: usize) -> (Vec<Frame>, Result<usize, Error>) {
-    let mut frames = Vec::new();
-    let mut dec = PipelineDecoder::new(2, recon_workers);
-    let result = dec
-        .decode_stream(data, |f: &Frame, _: &PictureInfo| frames.push(f.clone()))
-        .map(|s| s.pictures);
-    (frames, result)
+/// The `(vld, recon)` pairs: VLD pinned at 2, recon swept.
+fn pipelined() -> impl Iterator<Item = (usize, usize)> {
+    RECON_WORKER_COUNTS.iter().map(|&w| (2, w))
 }
 
 /// Asserts the pipelined decode at every recon worker count equals the
 /// sequential decode under **Strict** policy: same frames (bit-exact),
 /// same summary, same error value — including bit positions.
 fn assert_strict_matches_sequential(data: &[u8], label: &str) {
-    let (seq_frames, seq_result) = decode_sequential(data);
-    for &workers in &RECON_WORKER_COUNTS {
-        let (pipe_frames, pipe_result) = decode_pipelined(data, workers);
-        assert_eq!(
-            pipe_result, seq_result,
-            "{label}: strict result mismatch at {workers} recon workers"
-        );
-        assert_eq!(
-            pipe_frames.len(),
-            seq_frames.len(),
-            "{label}: frame count mismatch at {workers} recon workers"
-        );
-        for (i, (a, b)) in pipe_frames.iter().zip(&seq_frames).enumerate() {
-            assert!(
-                a == b,
-                "{label}: frame {i} differs from sequential at {workers} recon workers"
-            );
-        }
-    }
+    assert_matches_sequential(data, label, pipelined());
 }
 
 /// Asserts the pipelined **Resilient** decode at every recon worker
@@ -244,24 +158,8 @@ fn truncated_stream_error_bit_position_is_exact() {
         data.len() * 3 / 4,
         data.len() / 2,
     ] {
-        let truncated = &data[..cut];
-        let (_, seq_result) = decode_sequential(truncated);
-        if let Err(Error::Bitstream(ref e)) = seq_result {
-            found_bit_pos_error = true;
-            for &workers in &RECON_WORKER_COUNTS {
-                let (_, pipe_result) = decode_pipelined(truncated, workers);
-                match pipe_result {
-                    Err(Error::Bitstream(ref pe)) => assert_eq!(
-                        pe, e,
-                        "cut {cut}, {workers} recon workers: bitstream error \
-                         (incl. bit position) differs"
-                    ),
-                    other => {
-                        panic!("cut {cut}, {workers} recon workers: expected {e:?}, got {other:?}")
-                    }
-                }
-            }
-        }
+        found_bit_pos_error |=
+            assert_bit_position_matches(&data[..cut], &format!("cut {cut}"), pipelined());
     }
     assert!(
         found_bit_pos_error,
@@ -318,21 +216,20 @@ fn consecutive_b_pictures_share_a_level() {
 }
 
 #[test]
-fn zero_recon_workers_delegates_to_vld_only_path() {
+fn zero_recon_workers_replays_on_the_coordinator() {
     let data = random_stream(202);
-    let (seq_frames, seq_result) = decode_sequential(&data);
     let mut dec = PipelineDecoder::new(2, 0);
-    let mut frames = Vec::new();
-    let result = dec
-        .decode_stream(&data, |f: &Frame, _: &PictureInfo| frames.push(f.clone()))
-        .map(|s| s.pictures);
-    assert_eq!(result, seq_result);
-    assert_eq!(frames.len(), seq_frames.len());
-    for (a, b) in frames.iter().zip(&seq_frames) {
-        assert!(a == b);
-    }
-    assert!(dec.stats().sequential_fallback);
-    assert_eq!(dec.stats().recon_workers, 0);
+    let got = decode_with(&mut dec, &data);
+    assert_same_decode(&got, &decode_sequential(&data), "2 VLD / 0 recon");
+    let stats = dec.stats();
+    assert!(
+        !stats.sequential_fallback,
+        "VLD workers ran, so the stats must not report a fallback"
+    );
+    assert_eq!(stats.vld_busy_ns.len(), 2);
+    assert_eq!(stats.recon_workers, 0);
+    assert!(stats.recon_busy_ns.is_empty());
+    assert_eq!(stats.bands, stats.pictures, "one in-place band per picture");
 }
 
 #[test]
@@ -341,17 +238,9 @@ fn auto_tuning_records_the_clamp_decision() {
     // stats must still record what was requested and the host CPU count,
     // so benchmarks can publish the clamp decision.
     let data = random_stream(201);
-    let (seq_frames, seq_result) = decode_sequential(&data);
     let mut dec = PipelineDecoder::auto_tuned(8, 8);
-    let mut frames = Vec::new();
-    let result = dec
-        .decode_stream(&data, |f: &Frame, _: &PictureInfo| frames.push(f.clone()))
-        .map(|s| s.pictures);
-    assert_eq!(result, seq_result);
-    assert_eq!(frames.len(), seq_frames.len());
-    for (a, b) in frames.iter().zip(&seq_frames) {
-        assert!(a == b);
-    }
+    let got = decode_with(&mut dec, &data);
+    assert_same_decode(&got, &decode_sequential(&data), "auto-tuned");
     let stats = dec.stats();
     assert!(stats.sequential_fallback, "tiny pictures must not pipeline");
     assert_eq!(stats.requested_vld_workers, 8);

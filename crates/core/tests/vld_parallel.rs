@@ -1,131 +1,39 @@
-//! Property tests for the slice-parallel VLD layer: bit-exactness against
-//! the sequential reference decoder across random streams, worker counts
-//! and partition seams, plus truncation/corruption cases asserting that
-//! the sequential error — value *and* bit position — is reproduced.
+//! Property tests for the VLD-only configuration of the pipelined
+//! decoder, `PipelineDecoder::new(n, 0)`: slice-parallel VLD workers with
+//! each picture replayed on the coordinator. Bit-exactness against the
+//! sequential reference decoder across random streams, worker counts and
+//! partition seams, plus truncation/corruption cases asserting that the
+//! sequential error — value *and* bit position — is reproduced.
 //!
-//! Driven by a seeded xorshift generator so every case is deterministic.
+//! Driven by the seeded generator in `common`, so every case is
+//! deterministic.
 
-use tiledec_core::vld_parallel::{host_cpus, ParallelVldDecoder};
-use tiledec_mpeg2::decoder::Decoder;
+mod common;
+
+use common::{
+    assert_bit_position_matches, assert_matches_sequential, assert_same_decode, decode_pipelined,
+    decode_sequential, decode_with, random_stream, Rng,
+};
+use tiledec_core::plan::host_cpus;
+use tiledec_core::PipelineDecoder;
 use tiledec_mpeg2::encoder::{Encoder, EncoderConfig};
-use tiledec_mpeg2::types::PictureInfo;
-use tiledec_mpeg2::{Error, Frame};
-
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Self {
-        Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1)
-    }
-
-    fn next(&mut self) -> u64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        self.0
-    }
-
-    /// Uniform in `0..n`.
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
+use tiledec_mpeg2::Frame;
 
 /// Worker counts every exactness property is checked at. 1 exercises the
 /// degenerate single-range partition, 3 odd seams, 8 more ranges than
 /// some pictures have slices.
 const WORKER_COUNTS: [usize; 5] = [1, 2, 3, 4, 8];
 
-/// Renders a deterministic noisy clip and encodes it with
-/// seed-dependent GOP structure and quantisation.
-fn random_stream(seed: u64) -> Vec<u8> {
-    let mut rng = Rng::new(seed);
-    let (w, h) = match rng.below(3) {
-        0 => (64, 48),
-        1 => (128, 96),
-        _ => (96, 64),
-    };
-    let mut cfg = EncoderConfig::for_size(w, h);
-    cfg.gop_size = 3 + rng.below(6) as u32;
-    cfg.b_frames = rng.below(3) as u32;
-    cfg.qscale = 3 + rng.below(12) as u8;
-    cfg.adaptive_quant = rng.below(2) == 0;
-    cfg.alternate_scan = rng.below(2) == 0;
-    cfg.intra_dc_precision = rng.below(3) as u8;
-    cfg.q_scale_type = rng.below(2) == 0;
-    let n = 4 + rng.below(5) as usize;
-    let mut frames = Vec::with_capacity(n);
-    for t in 0..n {
-        let mut f = Frame::black(w as usize, h as usize);
-        for yy in 0..h as usize {
-            for xx in 0..w as usize {
-                // Textured base + moving diagonal band + per-frame noise.
-                let base = ((xx * 5) ^ (yy * 3)) as u64;
-                let band = if (xx + yy + t * 7) % 31 < 6 { 90 } else { 0 };
-                let v = (base % 120 + band + rng.below(24)) as u8;
-                f.y.set(xx, yy, v);
-            }
-        }
-        for yy in 0..(h / 2) as usize {
-            for xx in 0..(w / 2) as usize {
-                f.cb.set(xx, yy, 100 + ((xx + t) % 56) as u8);
-                f.cr.set(xx, yy, 120 + ((yy * 2 + t) % 40) as u8);
-            }
-        }
-        frames.push(f);
-    }
-    let enc = Encoder::new(cfg).expect("config");
-    enc.encode(&frames).expect("encode")
-}
-
-/// Sequential decode capturing frames and the terminal result.
-fn decode_sequential(data: &[u8]) -> (Vec<Frame>, Result<usize, Error>) {
-    let mut frames = Vec::new();
-    let result = Decoder::new()
-        .decode_stream(data, |f: &Frame, _: &PictureInfo| frames.push(f.clone()))
-        .map(|s| s.pictures);
-    (frames, result)
-}
-
-/// Parallel decode at `workers`, capturing frames and the terminal result.
-fn decode_parallel(data: &[u8], workers: usize) -> (Vec<Frame>, Result<usize, Error>) {
-    let mut frames = Vec::new();
-    let mut dec = ParallelVldDecoder::new(workers);
-    let result = dec
-        .decode_stream(data, |f: &Frame, _: &PictureInfo| frames.push(f.clone()))
-        .map(|s| s.pictures);
-    (frames, result)
-}
-
-/// Asserts parallel output at every worker count equals the sequential
-/// decode: same frames (bit-exact), same summary, same error value.
-fn assert_matches_sequential(data: &[u8], label: &str) {
-    let (seq_frames, seq_result) = decode_sequential(data);
-    for &workers in &WORKER_COUNTS {
-        let (par_frames, par_result) = decode_parallel(data, workers);
-        assert_eq!(
-            par_result, seq_result,
-            "{label}: result mismatch at {workers} workers"
-        );
-        assert_eq!(
-            par_frames.len(),
-            seq_frames.len(),
-            "{label}: frame count mismatch at {workers} workers"
-        );
-        for (i, (a, b)) in par_frames.iter().zip(&seq_frames).enumerate() {
-            assert!(
-                a == b,
-                "{label}: frame {i} differs from sequential at {workers} workers"
-            );
-        }
-    }
+/// The `(vld, recon)` pairs of the VLD-only configuration.
+fn vld_only() -> impl Iterator<Item = (usize, usize)> {
+    WORKER_COUNTS.iter().map(|&w| (w, 0))
 }
 
 #[test]
 fn parallel_vld_bit_exact_across_streams_and_worker_counts() {
     for seed in 0..6u64 {
         let data = random_stream(seed);
-        assert_matches_sequential(&data, &format!("stream {seed}"));
+        assert_matches_sequential(&data, &format!("stream {seed}"), vld_only());
     }
 }
 
@@ -141,7 +49,11 @@ fn parallel_vld_bit_exact_on_truncated_streams() {
         for case in 0..8 {
             let cut = 16 + rng.below(data.len() as u64 - 16) as usize;
             let truncated = &data[..cut];
-            assert_matches_sequential(truncated, &format!("stream {seed} cut {case} at {cut}"));
+            assert_matches_sequential(
+                truncated,
+                &format!("stream {seed} cut {case} at {cut}"),
+                vld_only(),
+            );
         }
     }
 }
@@ -161,6 +73,7 @@ fn parallel_vld_bit_exact_on_corrupted_streams() {
             assert_matches_sequential(
                 &corrupted,
                 &format!("stream {seed} corrupt {case} at {pos}"),
+                vld_only(),
             );
         }
     }
@@ -179,21 +92,8 @@ fn truncated_stream_error_bit_position_is_exact() {
         data.len() * 3 / 4,
         data.len() / 2,
     ] {
-        let truncated = &data[..cut];
-        let (_, seq_result) = decode_sequential(truncated);
-        if let Err(Error::Bitstream(ref e)) = seq_result {
-            found_bit_pos_error = true;
-            for &workers in &WORKER_COUNTS {
-                let (_, par_result) = decode_parallel(truncated, workers);
-                match par_result {
-                    Err(Error::Bitstream(ref pe)) => assert_eq!(
-                        pe, e,
-                        "cut {cut}, {workers} workers: bitstream error (incl. bit position) differs"
-                    ),
-                    other => panic!("cut {cut}, {workers} workers: expected {e:?}, got {other:?}"),
-                }
-            }
-        }
+        found_bit_pos_error |=
+            assert_bit_position_matches(&data[..cut], &format!("cut {cut}"), vld_only());
     }
     assert!(
         found_bit_pos_error,
@@ -223,26 +123,29 @@ fn partition_seams_cover_uneven_slice_counts() {
         frames.push(f);
     }
     let data = enc.encode(&frames).expect("encode");
-    assert_matches_sequential(&data, "3-slice pictures");
+    assert_matches_sequential(&data, "3-slice pictures", vld_only());
 }
 
 #[test]
 fn stats_reflect_parallel_work() {
     let data = random_stream(1);
-    let mut dec = ParallelVldDecoder::new(2);
+    let mut dec = PipelineDecoder::new(2, 0);
     let mut n = 0usize;
     dec.decode_stream(&data, |_, _| n += 1).expect("decode");
     let stats = dec.stats();
-    assert_eq!(stats.workers, 2);
-    assert_eq!(stats.busy_ns.len(), 2);
+    assert_eq!(stats.vld_workers, 2);
+    assert_eq!(stats.vld_busy_ns.len(), 2);
+    assert_eq!(stats.recon_workers, 0);
     assert!(n > 0);
-    assert!(stats.planned_slices > 0, "no slices were dispatched");
-    assert_eq!(
-        stats.fallback_slices, 0,
-        "well-formed stream should not fall back inline"
+    assert!(
+        !stats.sequential_fallback,
+        "well-formed stream should not fall back to the sequential decoder"
     );
     assert!(stats.pictures > 0);
+    assert_eq!(stats.bands, stats.pictures, "one band per picture");
     assert!(stats.wall_ns > 0);
+    assert!(stats.vld_stage_ns > 0);
+    assert!(stats.recon_stage_ns > 0);
     assert!(stats.model_critical_ns > 0);
 }
 
@@ -252,20 +155,16 @@ fn auto_tuning_declines_tiny_pictures() {
     // picture — below the auto-parallel threshold — so an auto-tuned
     // decoder must take the sequential path (and still be bit-exact).
     let data = random_stream(0);
-    let (seq_frames, seq_result) = decode_sequential(&data);
-    let mut dec = ParallelVldDecoder::auto_tuned(8);
-    let mut frames = Vec::new();
-    let result = dec
-        .decode_stream(&data, |f: &Frame, _: &PictureInfo| frames.push(f.clone()))
-        .map(|s| s.pictures);
-    assert_eq!(result, seq_result);
-    assert_eq!(frames.len(), seq_frames.len());
-    for (a, b) in frames.iter().zip(&seq_frames) {
-        assert!(a == b);
-    }
+    let mut dec = PipelineDecoder::auto_tuned(8, 0);
+    let got = decode_with(&mut dec, &data);
+    assert_same_decode(&got, &decode_sequential(&data), "auto-tuned");
     let stats = dec.stats();
-    assert_eq!(stats.workers, 0, "tiny pictures must decode sequentially");
-    assert!(stats.busy_ns.is_empty());
+    assert_eq!(
+        stats.vld_workers, 0,
+        "tiny pictures must decode sequentially"
+    );
+    assert!(stats.sequential_fallback);
+    assert!(stats.vld_busy_ns.is_empty());
 }
 
 #[test]
@@ -288,39 +187,27 @@ fn auto_tuning_clamps_workers_to_slice_rows() {
         frames.push(f);
     }
     let data = enc.encode(&frames).expect("encode");
-    let (seq_frames, seq_result) = decode_sequential(&data);
-    let mut dec = ParallelVldDecoder::auto_tuned(8);
-    let mut out = Vec::new();
-    let result = dec
-        .decode_stream(&data, |f: &Frame, _: &PictureInfo| out.push(f.clone()))
-        .map(|s| s.pictures);
-    assert_eq!(result, seq_result);
-    assert_eq!(out.len(), seq_frames.len());
-    for (a, b) in out.iter().zip(&seq_frames) {
-        assert!(a == b);
-    }
+    let mut dec = PipelineDecoder::auto_tuned(8, 0);
+    let got = decode_with(&mut dec, &data);
+    assert_same_decode(&got, &decode_sequential(&data), "auto-tuned");
     let stats = dec.stats();
     // The row clamp composes with the host-CPU clamp: on a wide host the
     // 3 slice rows bound the count, on a 1-core CI box the CPU count does.
     let expected = 3.min(host_cpus());
     assert_eq!(
-        stats.workers, expected,
+        stats.vld_workers, expected,
         "workers must clamp to min(slice rows, host cpus)"
     );
-    assert_eq!(stats.busy_ns.len(), expected);
-    assert_eq!(stats.requested_workers, 8);
+    assert_eq!(stats.vld_busy_ns.len(), expected);
+    assert_eq!(stats.requested_vld_workers, 8);
     assert!(stats.host_cpus >= 1);
-    assert!(stats.planned_slices > 0);
+    assert!(!stats.sequential_fallback);
+    assert!(stats.pictures > 0);
 }
 
 #[test]
 fn zero_workers_is_the_sequential_path() {
     let data = random_stream(2);
-    let (seq_frames, seq_result) = decode_sequential(&data);
-    let (par_frames, par_result) = decode_parallel(&data, 0);
-    assert_eq!(par_result, seq_result);
-    assert_eq!(par_frames.len(), seq_frames.len());
-    for (a, b) in par_frames.iter().zip(&seq_frames) {
-        assert!(a == b);
-    }
+    let got = decode_pipelined(&data, 0, 0);
+    assert_same_decode(&got, &decode_sequential(&data), "zero workers");
 }

@@ -13,10 +13,10 @@
 //!   contends the same lock behind an unbounded wait. Both shapes are
 //!   caught: a *named* guard binding whose scope contains a blocking
 //!   call, and a *temporary* guard chained directly into one
-//!   (`lock(..).recv()`). The one deliberate site — the shared-receiver
-//!   job queue in `vld_parallel::worker_loop`, where holding the lock
-//!   across `recv` *is* the queue discipline — is frozen in
-//!   `crates/xtask/concurrency-allowlist.txt`.
+//!   (`lock(..).recv()`). Reviewed exceptions would be frozen in
+//!   `crates/xtask/concurrency-allowlist.txt`; there are none — the
+//!   pipelined decoder's job queues block on a `Condvar`, which releases
+//!   the lock while waiting.
 //!
 //! Scope: production sources only (`src/` trees, test modules masked);
 //! test code may use whatever lock style it is asserting about.
@@ -281,8 +281,7 @@ mod tests {
 
     #[test]
     fn temporary_guard_chained_into_recv_is_caught() {
-        // worker_loop shape: must be flagged (then budgeted where it is
-        // the deliberate queue discipline).
+        // Shared-receiver job queue shape: must be flagged.
         let src = "fn f() {\n    let job = match lock_ignore_poison(rx).recv() {\n        Ok(j) => j,\n        Err(_) => return,\n    };\n}\n";
         let msgs = lint("crates/core/src/x.rs", src);
         assert!(
@@ -303,7 +302,7 @@ mod tests {
     #[test]
     fn duplicate_helper_definition_is_rejected_outside_sync() {
         let src = "fn lock_ignore_poison(m: &M) -> G { m.lock().unwrap_or_else(PoisonError::into_inner) }\n";
-        let msgs = lint("crates/core/src/vld_parallel.rs", src);
+        let msgs = lint("crates/core/src/x.rs", src);
         assert!(msgs.iter().any(|m| m.contains("one shared")), "{msgs:?}");
         assert!(lint(SYNC_HELPER_FILE, src).is_empty());
     }

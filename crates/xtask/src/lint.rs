@@ -84,7 +84,6 @@ pub const HOT_PATH_FILES: &[&str] = &[
     "crates/core/src/simulated.rs",
     "crates/core/src/protocol.rs",
     "crates/core/src/splitter.rs",
-    "crates/core/src/vld_parallel.rs",
     "crates/core/src/recon_parallel.rs",
     "crates/mpeg2/src/resilient.rs",
 ];

@@ -9,7 +9,9 @@
 //! (slice-parallel VLD), and `TILEDEC_RECON_WORKERS=M` on top to fan
 //! pixel reconstruction out over M band workers with cross-picture
 //! pipelining; output stays bit-exact with the sequential path either
-//! way.
+//! way. Both counts are upper bounds: after the decode the tool prints
+//! the workers that actually ran, and says so when the stream took the
+//! sequential decoder instead.
 
 use std::fs::File;
 use std::io::BufWriter;
@@ -71,16 +73,27 @@ fn run() -> Result<String, String> {
     } else if vld > 0 {
         eprintln!("slice-parallel VLD: {vld} workers");
     }
-    let summary = decoder
-        .decode_stream(&es, |frame, _| {
-            if write_error.is_none() {
-                if let Err(e) = writer.write_frame(frame) {
-                    write_error = Some(e.to_string());
-                }
-                frames += 1;
+    let result = decoder.decode_stream(&es, |frame, _| {
+        if write_error.is_none() {
+            if let Err(e) = writer.write_frame(frame) {
+                write_error = Some(e.to_string());
             }
-        })
-        .map_err(|e| e.to_string())?;
+            frames += 1;
+        }
+    });
+    // Report what actually ran, even when the decode failed: auto-tune
+    // may clamp the configured counts, and a stream the pipeline cannot
+    // commit to (or tiny pictures) takes the sequential decoder.
+    let st = decoder.stats();
+    if vld + recon > 0 && st.sequential_fallback {
+        eprintln!("ran: sequential decoder (whole-stream fallback)");
+    } else if vld + recon > 0 {
+        eprintln!(
+            "ran: {} VLD, {} recon workers",
+            st.vld_workers, st.recon_workers
+        );
+    }
+    let summary = result.map_err(|e| e.to_string())?;
     if let Some(e) = write_error {
         return Err(e);
     }
